@@ -21,8 +21,6 @@ from .model import (
 )
 from .hamiltonian import (
     CouplingPair,
-    HermitianOperator,
-    coupling,
     coupling_pair,
     full_hamiltonian,
     manifold_hamiltonian,
@@ -48,7 +46,6 @@ from .spectrum import (
     wrap_angle,
 )
 from .dynamics import (
-    PropagationConfig,
     PropagationError,
     TruncationWarning,
     WrongPropagatorError,

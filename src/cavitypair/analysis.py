@@ -10,7 +10,7 @@ doubly-excited sector by theta.  At large detuning the single-excitation
 block reduces to an excitation swap, one direction clean and the other
 dressed by the dispersive phase.
 
-``scatter_matrix`` measures the map by propagating every basis state;
+``scatter_matrix`` measures the map as the block's transit unitary;
 ``check_input_output`` compares it against the predicted table;
 ``check_crossing_phase`` audits the phase jump across the exact crossing
 by following the adiabatic frame through it.
@@ -24,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PropagationConfig, PropagationError, propagate_schrodinger
+from .dynamics import (PropagationError, propagate_schrodinger,
+                       transit_unitary)
+from .hamiltonian import manifold_parts
 from .model import (
     BasisMismatchError,
     CavityPairError,
@@ -80,18 +82,12 @@ class ScatterMatrix:
     unitarity_defect: float
 
 
-def scatter_matrix(params: SystemParams, n_exc: int,
-                   config: PropagationConfig | None = None) -> ScatterMatrix:
-    """Propagate every basis state of one block across the window."""
+def scatter_matrix(params: SystemParams, n_exc: int) -> ScatterMatrix:
+    """Transit unitary of one block across the window."""
     if params.gamma != 0.0:
         raise UnsupportedRegimeError("the transit map is unitary; gamma must be 0")
     basis = manifold_basis(n_exc)
-    cols = []
-    for label in basis.labels:
-        out = propagate_schrodinger(PureState.from_label(basis, label),
-                                    params, config)
-        cols.append(out.amplitudes)
-    s = np.column_stack(cols)
+    s = transit_unitary(manifold_parts(basis), params)
     defect = float(np.max(np.abs(s.conj().T @ s - np.eye(basis.dim))))
     if defect > 1e-6:
         raise PropagationError(
@@ -203,8 +199,7 @@ def check_input_output(s: ScatterMatrix, angles: MixingAngles,
 
 
 def check_crossing_phase(params: SystemParams, n: int,
-                         grid_points: int = 3001,
-                         config: PropagationConfig | None = None) -> float:
+                         grid_points: int = 3001) -> float:
     """Measure the phase jump across the exact inner-branch crossing.
 
     Prepares the lower member of the crossing pair at the window opening,
@@ -232,7 +227,7 @@ def check_crossing_phase(params: SystemParams, n: int,
                 frame[k] = -frame[k]
 
     start = PureState(basis, followed[0])
-    final = propagate_schrodinger(start, params, config)
+    final = propagate_schrodinger(start, params)
     c_followed = complex(np.vdot(followed[-1], final.amplitudes))
     c_partner = complex(np.vdot(partner[-1], final.amplitudes))
     leakage = 1.0 - abs(c_followed) ** 2 - abs(c_partner) ** 2

@@ -24,7 +24,6 @@ one excitation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -34,9 +33,8 @@ from .model import FullBasis, ManifoldBasis, SystemParams
 
 __all__ = [
     "CouplingPair",
-    "HermitianOperator",
-    "coupling",
     "coupling_pair",
+    "coupling_arrays",
     "manifold_hamiltonian",
     "full_hamiltonian",
     "manifold_parts",
@@ -60,16 +58,6 @@ def _gauss(x: float) -> float:
     return math.exp(-x2)
 
 
-def coupling(atom: int, t: float, params: SystemParams) -> float:
-    """Instantaneous coupling of one atom (1 or 2) at time t."""
-    tau = params.tau(t)
-    if atom == 1:
-        return params.g1 * _gauss(tau + params.delta)
-    if atom == 2:
-        return params.g2 * _gauss(tau - params.delta)
-    raise ValueError("atom must be 1 or 2")
-
-
 def coupling_pair(t: float, params: SystemParams) -> CouplingPair:
     """Both couplings at time t."""
     tau = params.tau(t)
@@ -79,21 +67,12 @@ def coupling_pair(t: float, params: SystemParams) -> CouplingPair:
     )
 
 
-@dataclass(frozen=True)
-class HermitianOperator:
-    """A Hermitian matrix tied to the basis it acts on."""
-
-    basis: ManifoldBasis | FullBasis
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("operator matrix must be square")
-        defect = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
-        if defect > 1e-12 * max(1.0, np.max(np.abs(mat))):
-            raise ValueError("operator is not Hermitian")
-        object.__setattr__(self, "matrix", mat)
+def coupling_arrays(t: np.ndarray, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """Both couplings on an array of times, with the same far-tail cutoff."""
+    tau = params.tau(np.asarray(t))
+    z1, z2 = (tau + params.delta) ** 2, (tau - params.delta) ** 2
+    return (params.g1 * np.exp(-z1) * (z1 <= _EXPONENT_CUTOFF),
+            params.g2 * np.exp(-z2) * (z2 <= _EXPONENT_CUTOFF))
 
 
 @lru_cache(maxsize=None)
@@ -122,11 +101,11 @@ def manifold_parts(basis: ManifoldBasis) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def manifold_hamiltonian(t: float, params: SystemParams,
-                         basis: ManifoldBasis) -> HermitianOperator:
+                         basis: ManifoldBasis) -> np.ndarray:
     """Block Hamiltonian of one fixed-excitation manifold at time t."""
     eta1, eta2 = coupling_pair(t, params)
     x1, x2, d = manifold_parts(basis)
-    return HermitianOperator(basis, eta1 * x1 + eta2 * x2 + params.detuning * d)
+    return eta1 * x1 + eta2 * x2 + params.detuning * d
 
 
 @lru_cache(maxsize=None)
@@ -159,8 +138,8 @@ def full_parts(basis: FullBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
 
 
 def full_hamiltonian(t: float, params: SystemParams,
-                     basis: FullBasis) -> HermitianOperator:
+                     basis: FullBasis) -> np.ndarray:
     """Full photon-truncated Hamiltonian at time t."""
     eta1, eta2 = coupling_pair(t, params)
     x1, x2, d, _ = full_parts(basis)
-    return HermitianOperator(basis, eta1 * x1 + eta2 * x2 + params.detuning * d)
+    return eta1 * x1 + eta2 * x2 + params.detuning * d

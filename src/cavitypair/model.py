@@ -175,7 +175,7 @@ def manifold_basis(n_exc: int) -> ManifoldBasis:
 class FullBasis:
     """Product basis |m> |s1> |s2> with photon numbers m = 0..n_max.
 
-    Index layout is 4*m + 2*(s1 == 'e') + (s2 == 'e'), i.e. photon-major.
+    Index layout is 4*m + 2*(s1 == 'g') + (s2 == 'g'), i.e. photon-major.
     """
 
     n_max: int

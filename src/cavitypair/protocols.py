@@ -29,7 +29,6 @@ from scipy.optimize import brentq
 
 from .analysis import fidelity, reduced_state
 from .dynamics import (
-    PropagationConfig,
     apply_phase_gate,
     propagate_lindblad,
     propagate_schrodinger,
@@ -157,9 +156,7 @@ def detuned_target(big_theta: float, phi_full: float, basis: FullBasis) -> PureS
     return PureState(basis, amp)
 
 
-def entangle_atoms(params: SystemParams,
-                   config: PropagationConfig | None = None
-                   ) -> tuple[PureState | DensityMatrix, float]:
+def entangle_atoms(params: SystemParams) -> tuple[PureState | DensityMatrix, float]:
     """One transit from the even product state; returns (state, fidelity).
 
     Fidelity is taken against the maximally entangled target.  With photon
@@ -173,9 +170,9 @@ def entangle_atoms(params: SystemParams,
     psi0 = initial_product_state(basis)
     target = maximal_target(basis)
     if params.gamma == 0.0:
-        out = propagate_schrodinger(psi0, params, config)
+        out = propagate_schrodinger(psi0, params)
     else:
-        out = propagate_lindblad(DensityMatrix.from_pure(psi0), params, config)
+        out = propagate_lindblad(DensityMatrix.from_pure(psi0), params)
     return out, fidelity(out, target)
 
 
@@ -222,8 +219,7 @@ def default_stages(sigma: float = 1.0, delta: float = 1.0,
 
 
 def _stage_transit(atom_amp: np.ndarray, cavity_amp: np.ndarray,
-                   stage: CavityStage,
-                   config: PropagationConfig | None) -> PureState:
+                   stage: CavityStage) -> PureState:
     """Tensor the atom pair with a fresh cavity and run one transit."""
     basis = FullBasis(stage.params.n_max)
     amp = np.zeros(basis.size, dtype=complex)
@@ -235,7 +231,7 @@ def _stage_transit(atom_amp: np.ndarray, cavity_amp: np.ndarray,
             if atom_amp[k] != 0.0:
                 amp[basis.index((m, s1, s2))] = c_m * atom_amp[k]
     state = PureState(basis, amp)
-    out = propagate_schrodinger(state, stage.params, config)
+    out = propagate_schrodinger(state, stage.params)
     for atom, chi in stage.gates:
         out = apply_phase_gate(out, atom, chi)
     return out
@@ -264,7 +260,7 @@ def _split_off_vacuum(state: PureState, cavity_name: str) -> tuple[np.ndarray, f
 
 def teleport(alpha: complex, beta: complex,
              stages: tuple[CavityStage, CavityStage, CavityStage] | None = None,
-             config: PropagationConfig | None = None) -> TeleportResult:
+             ) -> TeleportResult:
     """Carry alpha|0> + beta|1> from cavity one to cavity three.
 
     The atom pair starts in |g,g> and crosses each cavity in turn; after
@@ -301,19 +297,19 @@ def teleport(alpha: complex, beta: complex,
 
     payload = np.zeros(stages[0].params.n_max + 1, dtype=complex)
     payload[0], payload[1] = alpha, beta
-    state = _stage_transit(atom_amp, payload, stages[0], config)
+    state = _stage_transit(atom_amp, payload, stages[0])
     atom_amp, leak = _split_off_vacuum(state, "cavity one")
     leakage.append(leak)
 
     vacuum = np.zeros(stages[1].params.n_max + 1, dtype=complex)
     vacuum[0] = 1.0
-    state = _stage_transit(atom_amp, vacuum, stages[1], config)
+    state = _stage_transit(atom_amp, vacuum, stages[1])
     atom_amp, leak = _split_off_vacuum(state, "cavity two")
     leakage.append(leak)
 
     vacuum = np.zeros(stages[2].params.n_max + 1, dtype=complex)
     vacuum[0] = 1.0
-    final = _stage_transit(atom_amp, vacuum, stages[2], config)
+    final = _stage_transit(atom_amp, vacuum, stages[2])
     leakage.append(0.0)
 
     basis = final.basis

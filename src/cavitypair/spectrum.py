@@ -123,7 +123,7 @@ def diagonalize(t: float, params: SystemParams,
                 basis: ManifoldBasis) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and phase-fixed eigenvectors of one block."""
     h = manifold_hamiltonian(t, params, basis)
-    w, v = np.linalg.eigh(h.matrix)
+    w, v = np.linalg.eigh(h)
     return w, fix_phases(v)
 
 
@@ -157,7 +157,7 @@ class SpectrumCurve:
 
 def _sorted_gap(t: float, params: SystemParams, basis: ManifoldBasis,
                 level: int) -> float:
-    w = np.linalg.eigvalsh(manifold_hamiltonian(t, params, basis).matrix)
+    w = np.linalg.eigvalsh(manifold_hamiltonian(t, params, basis))
     return float(w[level + 1] - w[level])
 
 
@@ -182,7 +182,7 @@ def track_spectrum(params: SystemParams, basis: ManifoldBasis,
     energies_sorted = np.empty((npts, dim))
     raw_vectors = np.empty((npts, dim, dim), dtype=complex)
     for k, t in enumerate(grid):
-        w, v = np.linalg.eigh(manifold_hamiltonian(t, params, basis).matrix)
+        w, v = np.linalg.eigh(manifold_hamiltonian(t, params, basis))
         energies_sorted[k] = w
         raw_vectors[k] = v
 

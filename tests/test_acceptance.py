@@ -337,7 +337,7 @@ def test_criterion_09_numerical_contracts(tmp_path):
         t = float(rng.uniform(-8.0, 8.0))
         exact = np.sort(closed_form_energies(t, ps, n))
         num = np.linalg.eigvalsh(
-            manifold_hamiltonian(t, ps, manifold_basis(n + 2)).matrix)
+            manifold_hamiltonian(t, ps, manifold_basis(n + 2)))
         worst = max(worst, float(np.max(np.abs(exact - num))) / ps.g0)
     ok &= worst < 1e-9
     notes.append(f"closed-form vs eigh {worst:.1e} g0")

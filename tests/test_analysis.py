@@ -17,6 +17,7 @@ from cavitypair.analysis import (
     reduced_state,
     scatter_matrix,
 )
+from cavitypair.dynamics import oracle_propagate
 from cavitypair.model import (
     BasisMismatchError,
     DensityMatrix,
@@ -40,6 +41,20 @@ def test_transit_map_is_unitary():
     assert s.unitarity_defect < 1e-9
     gram = s.matrix.conj().T @ s.matrix
     np.testing.assert_allclose(gram, np.eye(3), atol=1e-9)
+
+
+def test_many_photon_map_matches_audit_route():
+    # Couplings in the block of base photon number n scale as sqrt(n + 2),
+    # so the Magnus step count has to grow with n.  The audit route is
+    # second order with an even error expansion, so two step sizes
+    # extrapolate it to about 4e-9 here.
+    p = SystemParams(g0=orc.G60, detuning=30.0)
+    s = scatter_matrix(p, 52)
+    start = PureState(s.basis, np.eye(4, dtype=complex)[0])
+    coarse, fine = (oracle_propagate(start, p, step=p.sigma / k).amplitudes
+                    for k in (400.0, 800.0))
+    audit = (4.0 * fine - coarse) / 3.0
+    assert np.max(np.abs(s.matrix[:, 0] - audit)) < 5e-8
 
 
 def test_transit_map_rejects_decay():

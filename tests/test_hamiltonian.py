@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cavitypair.hamiltonian import (
-    coupling,
     coupling_pair,
     full_hamiltonian,
     full_parts,
@@ -29,24 +28,22 @@ def params():
 
 def test_coupling_analytic_values(params):
     # atom 1 peaks at tau = -delta, atom 2 at +delta
-    assert coupling(1, -2.0 * params.sigma, params) == pytest.approx(2.0)
-    assert coupling(2, 2.0 * params.sigma, params) == pytest.approx(1.6)
+    assert coupling_pair(-2.0 * params.sigma, params)[0] == pytest.approx(2.0)
+    assert coupling_pair(2.0 * params.sigma, params)[1] == pytest.approx(1.6)
     eta1, eta2 = coupling_pair(0.0, params)
     assert eta1 == pytest.approx(2.0 * math.exp(-1.0))
     assert eta2 == pytest.approx(1.6 * math.exp(-1.0))
-    with pytest.raises(ValueError):
-        coupling(3, 0.0, params)
 
 
 def test_far_tail_is_exactly_zero(params):
     # the envelope is cut once the exponent passes 50
-    assert coupling(1, 1e6, params) == 0.0
-    assert coupling(2, -1e6, params) == 0.0
+    assert coupling_pair(1e6, params)[0] == 0.0
+    assert coupling_pair(-1e6, params)[1] == 0.0
 
 
 def test_manifold_hamiltonian_structure(params):
     basis = manifold_basis(2)
-    h = manifold_hamiltonian(0.0, params, basis).matrix
+    h = manifold_hamiltonian(0.0, params, basis)
     np.testing.assert_allclose(h, h.conj().T, atol=1e-15)
     assert np.allclose(np.diag(h), 0.0)  # resonant: no diagonal energy
     eta1, eta2 = coupling_pair(0.0, params)
@@ -62,8 +59,8 @@ def test_detuning_enters_diagonal(params):
     # blocks drop a constant offset, so the diagonal reads (+1, 0, 0, -1)
     p = params.replace(detuning=0.7)
     basis = manifold_basis(2)
-    h = manifold_hamiltonian(1.0, p, basis).matrix
-    h0 = manifold_hamiltonian(1.0, params, basis).matrix
+    h = manifold_hamiltonian(1.0, p, basis)
+    h0 = manifold_hamiltonian(1.0, params, basis)
     np.testing.assert_allclose(h - h0,
                                np.diag([0.7, 0.0, 0.0, -0.7]), atol=1e-15)
 
@@ -75,15 +72,15 @@ def test_full_agrees_with_manifold_blocks(params):
         rng = np.random.default_rng(n_exc)
         v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
         state = embed(PureState(basis, v), full)
-        hv_full = full_hamiltonian(0.37, params, full).matrix @ state.amplitudes
-        hv_block = manifold_hamiltonian(0.37, params, basis).matrix @ v
+        hv_full = full_hamiltonian(0.37, params, full) @ state.amplitudes
+        hv_block = manifold_hamiltonian(0.37, params, basis) @ v
         expected = embed(PureState(basis, hv_block), full)
         np.testing.assert_allclose(hv_full, expected.amplitudes, atol=1e-12)
 
 
 def test_excitation_commutes(params):
     full = FullBasis(3)
-    h = full_hamiltonian(0.2, params.replace(detuning=3.0), full).matrix
+    h = full_hamiltonian(0.2, params.replace(detuning=3.0), full)
     n_exc = np.diag([float(full.excitation(l)) for l in full.labels])
     comm = h @ n_exc - n_exc @ h
     assert np.max(np.abs(comm)) < 1e-12

@@ -68,6 +68,16 @@ def test_full_basis_indexing():
         full.index((4, "g", "g"))
 
 
+def test_full_basis_layout_is_photon_major_excited_first():
+    # index = 4*m + 2*(s1 == 'g') + (s2 == 'g')
+    full = FullBasis(3)
+    assert full.index((0, "e", "e")) == 0
+    assert full.index((0, "e", "g")) == 1
+    assert full.index((0, "g", "e")) == 2
+    assert full.index((0, "g", "g")) == 3
+    assert full.index((1, "e", "e")) == 4
+
+
 def test_pure_state_norm_overlap():
     b = manifold_basis(1)
     s = PureState(b, np.array([3.0, 0.0, 4.0j]))

@@ -39,7 +39,7 @@ def test_closed_form_matches_diagonalization():
         t = float(rng.uniform(-8.0, 8.0))
         exact = np.sort(closed_form_energies(t, p, n))
         basis = manifold_basis(n + 2)
-        numeric = np.linalg.eigvalsh(manifold_hamiltonian(t, p, basis).matrix)
+        numeric = np.linalg.eigvalsh(manifold_hamiltonian(t, p, basis))
         np.testing.assert_allclose(exact, numeric, atol=1e-9 * p.g0)
 
 
@@ -80,7 +80,7 @@ def test_dark_state_is_annihilated(detuning):
     for t in rng.uniform(-4.0, 4.0, size=5):
         state = dark_state(float(t), p)
         assert state.norm == pytest.approx(1.0)
-        h = manifold_hamiltonian(float(t), p, basis).matrix
+        h = manifold_hamiltonian(float(t), p, basis)
         assert np.max(np.abs(h @ state.amplitudes)) < 1e-12 * p.g0
 
 
