@@ -64,6 +64,9 @@ __all__ = [
 
 REGIMES = ("resonant-symmetric", "resonant-asymmetric", "large-detuning")
 
+# Points of the grid on which check_crossing_phase tracks the crossing pair.
+_CROSSING_GRID = 3001
+
 
 class NonAdiabaticError(CavityPairError):
     """The transit left the followed adiabatic branch by more than allowed."""
@@ -198,8 +201,7 @@ def check_input_output(s: ScatterMatrix, angles: MixingAngles,
                         predicted=pred, aligned=aligned)
 
 
-def check_crossing_phase(params: SystemParams, n: int,
-                         grid_points: int = 3001) -> float:
+def check_crossing_phase(params: SystemParams, n: int) -> float:
     """Measure the phase jump across the exact inner-branch crossing.
 
     Prepares the lower member of the crossing pair at the window opening,
@@ -215,21 +217,21 @@ def check_crossing_phase(params: SystemParams, n: int,
     if n < 0:
         raise ValueError("the crossing pair lives in the four-state block (n >= 0)")
     basis = manifold_basis(n + 2)
-    grid = np.linspace(params.t_span[0], params.t_span[1], grid_points)
+    grid = np.linspace(params.t_span[0], params.t_span[1], _CROSSING_GRID)
     curve = track_spectrum(params, basis, grid)
 
-    # Sign-continue the two inner branches into a smooth real frame.
-    followed = curve.vectors[:, :, 1].copy()
-    partner = curve.vectors[:, :, 2].copy()
-    for frame in (followed, partner):
-        for k in range(1, grid_points):
-            if np.real(np.vdot(frame[k - 1], frame[k])) < 0.0:
-                frame[k] = -frame[k]
+    # Sign-continue the two inner branches into a smooth real frame: each
+    # step flips the sign where Re<f_{k-1}|f_k> < 0, so the far end carries
+    # the product of those flips.
+    pair = curve.vectors[:, :, 1:3]
+    turns = np.real(np.sum(pair[:-1].conj() * pair[1:], axis=1))
+    followed, partner = (pair[-1] * np.prod(np.where(turns < 0.0, -1.0, 1.0),
+                                            axis=0)).T
 
-    start = PureState(basis, followed[0])
+    start = PureState(basis, pair[0, :, 0])
     final = propagate_schrodinger(start, params)
-    c_followed = complex(np.vdot(followed[-1], final.amplitudes))
-    c_partner = complex(np.vdot(partner[-1], final.amplitudes))
+    c_followed = complex(np.vdot(followed, final.amplitudes))
+    c_partner = complex(np.vdot(partner, final.amplitudes))
     leakage = 1.0 - abs(c_followed) ** 2 - abs(c_partner) ** 2
     if leakage > 0.01:
         raise NonAdiabaticError(

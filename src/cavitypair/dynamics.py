@@ -73,18 +73,6 @@ def _parts(basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     raise WrongPropagatorError(f"cannot propagate on basis {basis!r}")
 
 
-def _hamiltonian_factory(basis, params: SystemParams):
-    """Return f(t) -> H(t) as a dense ndarray for either basis kind."""
-    x1, x2, d = _parts(basis)
-    det = params.detuning
-
-    def h_of_t(t: float) -> np.ndarray:
-        eta1, eta2 = coupling_pair(t, params)
-        return eta1 * x1 + eta2 * x2 + det * d
-
-    return h_of_t
-
-
 def transit_steps(params: SystemParams,
                   parts: tuple[np.ndarray, np.ndarray, np.ndarray]) -> int:
     """Magnus steps for one excitation block across params.t_span.
@@ -177,8 +165,8 @@ def propagate_schrodinger(state: PureState, params: SystemParams) -> PureState:
 
 
 def _lindblad_rhs_factory(basis: FullBasis, params: SystemParams):
-    h_of_t = _hamiltonian_factory(basis, params)
-    _, _, _, a = full_parts(basis)
+    x1, x2, d, a = full_parts(basis)
+    static = params.detuning * d
     n_op = a.T @ a
     gamma = params.gamma
     size = basis.size
@@ -186,12 +174,13 @@ def _lindblad_rhs_factory(basis: FullBasis, params: SystemParams):
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         rho = y.reshape(size, size)
         rho = 0.5 * (rho + rho.conj().T)  # damp anti-Hermitian round-off
-        h = h_of_t(t)
-        d = -1j * (h @ rho - rho @ h)
+        eta1, eta2 = coupling_pair(t, params)
+        h = eta1 * x1 + eta2 * x2 + static
+        drho = -1j * (h @ rho - rho @ h)
         if gamma != 0.0:
-            d += gamma * (a @ rho @ a.T
-                          - 0.5 * (n_op @ rho + rho @ n_op))
-        return d.ravel()
+            drho += gamma * (a @ rho @ a.T
+                             - 0.5 * (n_op @ rho + rho @ n_op))
+        return drho.ravel()
 
     return rhs
 
@@ -232,16 +221,22 @@ def propagate_lindblad(rho: DensityMatrix, params: SystemParams) -> DensityMatri
     return DensityMatrix(rho.basis, out)
 
 
-def _liouvillian(h: np.ndarray, a: np.ndarray, n_op: np.ndarray,
-                 gamma: float) -> np.ndarray:
-    """Generator on row-major-flattened rho: vec(A rho B) = kron(A, B.T) vec(rho)."""
-    eye = np.eye(h.shape[0])
-    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    if gamma != 0.0:
-        gen += gamma * (np.kron(a, a.conj())
-                        - 0.5 * np.kron(n_op, eye)
-                        - 0.5 * np.kron(eye, n_op.T))
-    return gen
+def _liouvillian_pieces(basis: FullBasis, params: SystemParams):
+    """(L1, L2, L0) with generator eta1 L1 + eta2 L2 + L0 on row-major rho.
+
+    Uses vec(A rho B) = kron(A, B.T) vec(rho).
+    """
+    x1, x2, d, a = full_parts(basis)
+    eye = np.eye(basis.size)
+
+    def commutator(op: np.ndarray) -> np.ndarray:
+        return -1j * (np.kron(op, eye) - np.kron(eye, op.T))
+
+    n_op = a.T @ a
+    l0 = params.detuning * commutator(d) + params.gamma * (
+        np.kron(a, a.conj()) - 0.5 * np.kron(n_op, eye)
+        - 0.5 * np.kron(eye, n_op.T))
+    return commutator(x1), commutator(x2), l0
 
 
 def oracle_propagate(state: PureState | DensityMatrix, params: SystemParams,
@@ -249,7 +244,9 @@ def oracle_propagate(state: PureState | DensityMatrix, params: SystemParams,
     """Fixed-step midpoint-exponential propagation (the audit route).
 
     Each step applies the exact exponential of the generator frozen at the
-    step midpoint.  The step may not exceed sigma / 200.
+    step midpoint.  The step may not exceed sigma / 200.  The generator is
+    eta1 L1 + eta2 L2 + L0 with constant pieces, exponentiated in stacks of
+    at most 2**21 matrix entries.
     """
     step = params.sigma / 200.0 if step is None else step
     if step <= 0:
@@ -267,26 +264,26 @@ def oracle_propagate(state: PureState | DensityMatrix, params: SystemParams,
         if params.gamma != 0.0:
             raise WrongPropagatorError(
                 "photon decay needs a density matrix even on the audit route")
-        h_of_t = _hamiltonian_factory(state.basis, params)
+        x1, x2, d = _parts(state.basis)
+        l1, l2, l0 = -1j * x1, -1j * x2, -1j * params.detuning * d
         y = state.amplitudes.astype(complex)
-        for k in range(n_steps):
-            mid = t0 + (k + 0.5) * dt
-            y = expm(-1j * dt * h_of_t(mid)) @ y
-        return PureState(state.basis, y)
-
-    if not isinstance(state.basis, FullBasis):
+    elif isinstance(state.basis, FullBasis):
+        l1, l2, l0 = _liouvillian_pieces(state.basis, params)
+        y = state.matrix.astype(complex).ravel()
+    else:
         raise WrongPropagatorError(
             "photon decay couples excitation blocks; use a FullBasis state")
-    h_of_t = _hamiltonian_factory(state.basis, params)
-    _, _, _, a = full_parts(state.basis)
-    n_op = a.T @ a
-    size = state.basis.size
-    y = state.matrix.astype(complex).ravel()
-    for k in range(n_steps):
-        mid = t0 + (k + 0.5) * dt
-        gen = _liouvillian(h_of_t(mid), a, n_op, params.gamma)
-        y = expm(dt * gen) @ y
-    out = y.reshape(size, size)
+    chunk = max(1, 2 ** 21 // l0.size)
+    for first in range(0, n_steps, chunk):
+        mid = t0 + (np.arange(first, min(first + chunk, n_steps)) + 0.5) * dt
+        eta1, eta2 = coupling_arrays(mid, params)
+        for u in expm(dt * (eta1[:, None, None] * l1
+                            + eta2[:, None, None] * l2 + l0)):
+            y = u @ y
+
+    if isinstance(state, PureState):
+        return PureState(state.basis, y)
+    out = y.reshape(state.basis.size, state.basis.size)
     return DensityMatrix(state.basis, 0.5 * (out + out.conj().T))
 
 

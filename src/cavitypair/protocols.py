@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .analysis import fidelity, reduced_state
 from .dynamics import (
@@ -75,10 +74,11 @@ def calibrate_coupling(target_angle: float, n: int, params: SystemParams,
     """Smallest peak coupling above a floor whose top-branch area hits target.
 
     The area is strictly proportional to g0 at fixed shape (epsilon, delta),
-    so candidates form the ladder (target + 2 pi k) / slope; the first rung
-    at or above the floor (default 10 / sigma) is polished by bracketed
-    root finding on the actual quadrature and verified to land within 1e-6
-    radians of the target modulo 2 pi.
+    so the couplings that hit the target form the ladder
+    (target + 2 pi k) / slope, with slope the area per unit g0; the first
+    rung at or above the floor (default 10 / sigma) is returned once its
+    quadrature is verified to land within 1e-6 radians of the target
+    modulo 2 pi.
     """
     if target_angle <= 0:
         raise ValueError("target angle must be positive")
@@ -92,29 +92,11 @@ def calibrate_coupling(target_angle: float, n: int, params: SystemParams,
         raise CalibrationError("transit area does not grow with coupling")
 
     k = max(0, math.ceil((floor * slope - target_angle) / (2.0 * math.pi)))
-    g_candidate = (target_angle + 2.0 * math.pi * k) / slope
-    if g_candidate < floor:  # guard the ceil against round-off
-        g_candidate = (target_angle + 2.0 * math.pi * (k + 1)) / slope
+    g0 = (target_angle + 2.0 * math.pi * k) / slope
+    if g0 < floor:  # guard the ceil against round-off
+        g0 = (target_angle + 2.0 * math.pi * (k + 1)) / slope
 
-    goal = target_angle + 2.0 * math.pi * round(
-        (g_candidate * slope - target_angle) / (2.0 * math.pi))
-
-    def miss(g: float) -> float:
-        return phi_angle(n, params.replace(g0=g, gamma=0.0, detuning=0.0)) - goal
-
-    lo, hi = g_candidate * 0.999, g_candidate * 1.001
-    flo, fhi = miss(lo), miss(hi)
-    if flo == 0.0:
-        root = lo
-    elif fhi == 0.0:
-        root = hi
-    elif flo * fhi > 0:
-        raise CalibrationError("calibration bracket does not straddle the target")
-    else:
-        root = brentq(miss, lo, hi, xtol=1e-12 * max(1.0, g_candidate),
-                      rtol=4e-15)
-
-    calibrated = params.replace(g0=float(root))
+    calibrated = params.replace(g0=g0)
     achieved = phi_angle(n, calibrated.replace(gamma=0.0, detuning=0.0))
     if abs(wrap_angle(achieved - target_angle)) >= 1e-6:
         raise CalibrationError(

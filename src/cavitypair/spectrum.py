@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import linear_sum_assignment, minimize_scalar
+from scipy.optimize import minimize_scalar
 
-from .hamiltonian import coupling_pair, manifold_hamiltonian
+from .hamiltonian import (coupling_arrays, coupling_pair, manifold_hamiltonian,
+                          manifold_parts)
 from .model import CavityPairError, ManifoldBasis, PureState, SystemParams, manifold_basis
 
 __all__ = [
@@ -104,19 +105,19 @@ def closed_form_energies(t: float, params: SystemParams,
 def fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Fix each column's phase: largest-magnitude entry real positive.
 
-    Ties within 1e-12 of the maximum magnitude resolve to the lowest index,
-    so the convention is deterministic under degeneracies.
+    Works on one matrix or a (..., d, d) stack.  Ties within 1e-12 of the
+    maximum magnitude resolve to the lowest index, so the convention is
+    deterministic under degeneracies; an all-zero column is left alone.
     """
     fixed = np.array(vectors, dtype=complex)
-    for j in range(fixed.shape[1]):
-        col = fixed[:, j]
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        idx = int(np.flatnonzero(mags >= top - 1e-12)[0])
-        fixed[:, j] = col * (col[idx].conjugate() / mags[idx])
-    return fixed
+    mags = np.abs(fixed)
+    top = mags.max(axis=-2, keepdims=True)
+    idx = np.argmax(mags >= top - 1e-12, axis=-2, keepdims=True)
+    anchor = np.take_along_axis(fixed, idx, axis=-2)
+    size = np.take_along_axis(mags, idx, axis=-2)
+    phase = np.divide(anchor.conj(), size, out=np.ones_like(anchor),
+                      where=size > 0.0)
+    return fixed * phase
 
 
 def diagonalize(t: float, params: SystemParams,
@@ -177,80 +178,87 @@ def track_spectrum(params: SystemParams, basis: ManifoldBasis,
     if not np.all(np.diff(grid) > 0):
         raise ValueError("grid must be strictly increasing")
 
-    npts = grid.size
-    dim = basis.dim
-    energies_sorted = np.empty((npts, dim))
-    raw_vectors = np.empty((npts, dim, dim), dtype=complex)
-    for k, t in enumerate(grid):
-        w, v = np.linalg.eigh(manifold_hamiltonian(t, params, basis))
-        energies_sorted[k] = w
-        raw_vectors[k] = v
+    eta1, eta2 = coupling_arrays(grid, params)
+    x1, x2, d = manifold_parts(basis)
+    h = (eta1[:, None, None] * x1 + eta2[:, None, None] * x2
+         + params.detuning * d)
+    energies_sorted, raw_vectors = np.linalg.eigh(h)
+    perms = _continue_levels(raw_vectors, grid)
+    energies = np.take_along_axis(energies_sorted, perms, axis=1)
+    vectors = fix_phases(np.take_along_axis(raw_vectors, perms[:, None, :],
+                                            axis=2))
 
-    # perms[k][label] = column of the sorted eigensystem at point k that
-    # continues tracked level `label`.
-    perms = np.empty((npts, dim), dtype=int)
-    perms[0] = np.arange(dim)
-    prev = raw_vectors[0]
-    for k in range(1, npts):
-        overlap = np.abs(prev.conj().T @ raw_vectors[k])
-        rows, cols = linear_sum_assignment(-overlap)
-        order = np.empty(dim, dtype=int)
-        for i, j in zip(rows, cols):
-            best = overlap[i, j]
-            if best < 0.5:
-                raise TrackingError(
-                    f"eigenvector overlap {best:.3f} < 0.5 near t={grid[k]:.6g}; "
-                    f"refine the grid (suggest step <= {(grid[k] - grid[k - 1]) / 4:.3g})")
-            others = np.delete(overlap[i], j)
-            if others.size and best - others.max() < 1e-3:
-                raise TrackingError(
-                    f"ambiguous eigenvector continuation near t={grid[k]:.6g}; "
-                    f"refine the grid (suggest step <= {(grid[k] - grid[k - 1]) / 4:.3g})")
-            order[i] = j
-        perms[k] = order[perms[k - 1]]
-        prev = raw_vectors[k]
-
-    energies = np.empty((npts, dim))
-    vectors = np.empty((npts, dim, dim), dtype=complex)
-    for k in range(npts):
-        energies[k] = energies_sorted[k][perms[k]]
-        vectors[k] = fix_phases(raw_vectors[k][:, perms[k]])
-
-    events = _classify_gap_minima(params, basis, grid, energies_sorted, perms)
+    events = _classify_gap_minima(params, basis, grid, eta1 + eta2,
+                                  energies_sorted, perms)
     crossings = tuple(e for e in events if e.kind == "exact")
     avoided = tuple(e for e in events if e.kind == "avoided")
     return SpectrumCurve(times=grid, energies=energies, vectors=vectors,
                          crossings=crossings, avoided=avoided)
 
 
-def _classify_gap_minima(params, basis, grid, energies_sorted, perms):
+def _continue_levels(frames: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """perms[k, label]: column of frames[k] that continues tracked level label.
+
+    Each column of frames[k - 1] continues into the column of frames[k] it
+    overlaps most; the step is accepted only if that best overlap exceeds
+    0.5, beats the runner-up by 1e-3, and no two columns pick the same one.
+    """
+    npts, dim, _ = frames.shape
+    overlap = np.abs(frames[:-1].conj().transpose(0, 2, 1) @ frames[1:])
+    order = np.argmax(overlap, axis=2)
+    ranked = np.sort(overlap, axis=2)
+    best = ranked[:, :, -1]
+    margin = best - (ranked[:, :, -2] if dim > 1 else 0.0)
+    clash = np.any(np.sort(order, axis=1) != np.arange(dim), axis=1)
+    weak = best < 0.5
+    bad = np.flatnonzero(np.any(weak | (margin < 1e-3), axis=1) | clash)
+    if bad.size:
+        k = bad[0] + 1
+        low = best[k - 1][weak[k - 1]]
+        what = (f"eigenvector overlap {low[0]:.3f} < 0.5" if low.size
+                else "ambiguous eigenvector continuation")
+        raise TrackingError(
+            f"{what} near t={grid[k]:.6g}; refine the grid "
+            f"(suggest step <= {(grid[k] - grid[k - 1]) / 4:.3g})")
+
+    # Compose the step permutations, visiting only the steps that reorder.
+    perms = np.empty((npts, dim), dtype=int)
+    perm = np.arange(dim)
+    done = 0
+    for k in np.flatnonzero(np.any(order != np.arange(dim), axis=1)) + 1:
+        perms[done:k] = perm
+        perm = order[k - 1][perm]
+        done = k
+    perms[done:] = perm
+    return perms
+
+
+def _classify_gap_minima(params, basis, grid, eta_sum, energies_sorted, perms):
     if params.g0 == 0.0:
         return []
-    eta_sum = np.array([sum(coupling_pair(t, params)) for t in grid])
-    active = eta_sum > _ACTIVE_COUPLING * params.g0
+    gaps = np.diff(energies_sorted, axis=1)
+    inner = gaps[1:-1]
+    active = eta_sum[1:-1, None] > _ACTIVE_COUPLING * params.g0
+    candidates = active & (inner < gaps[:-2]) & (inner < gaps[2:])
     events = []
-    for level in range(basis.dim - 1):
-        gap = energies_sorted[:, level + 1] - energies_sorted[:, level]
-        for k in range(1, grid.size - 1):
-            if not (active[k] and gap[k] < gap[k - 1] and gap[k] < gap[k + 1]):
-                continue
-            res = minimize_scalar(
-                _sorted_gap, args=(params, basis, level),
-                bounds=(grid[k - 1], grid[k + 1]), method="bounded",
-                options={"xatol": 1e-10 * params.sigma})
-            gmin = float(res.fun)
-            tmin = float(res.x)
-            if gmin <= _EXACT_GAP * params.g0:
-                kind = "exact"
-            elif gmin < _AVOIDED_GAP * params.g0:
-                kind = "avoided"
-            else:
-                continue
-            labels = (int(np.flatnonzero(perms[k] == level)[0]),
-                      int(np.flatnonzero(perms[k] == level + 1)[0]))
-            events.append(CrossingEvent(
-                time=tmin, tau=params.tau(tmin), gap=gmin,
-                pair=labels, kind=kind))
+    for level, k in np.argwhere(candidates.T).tolist():
+        k += 1
+        res = minimize_scalar(
+            _sorted_gap, args=(params, basis, level),
+            bounds=(grid[k - 1], grid[k + 1]), method="bounded",
+            options={"xatol": 1e-10 * params.sigma})
+        gmin = float(res.fun)
+        tmin = float(res.x)
+        if gmin <= _EXACT_GAP * params.g0:
+            kind = "exact"
+        elif gmin < _AVOIDED_GAP * params.g0:
+            kind = "avoided"
+        else:
+            continue
+        labels = np.argsort(perms[k])[[level, level + 1]].tolist()
+        events.append(CrossingEvent(
+            time=tmin, tau=params.tau(tmin), gap=gmin,
+            pair=tuple(labels), kind=kind))
     events.sort(key=lambda e: e.time)
     return events
 

@@ -5,11 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import _oracles as orc
 from cavitypair.hamiltonian import coupling_pair, manifold_hamiltonian
 from cavitypair.model import SystemParams, manifold_basis
 from cavitypair.spectrum import (
+    _continue_levels,
     DegenerateCouplingWarning,
     NoCrossingError,
     TrackingError,
@@ -17,6 +19,7 @@ from cavitypair.spectrum import (
     closed_form_energies,
     crossing_time,
     dark_state,
+    fix_phases,
     mixing_angles,
     phi_angle,
     phi_asymptote,
@@ -228,8 +231,91 @@ def test_tracking_resonant_block_finds_exact_crossing():
 
 def test_tracking_needs_a_dense_grid():
     p = SystemParams(g0=orc.G60, detuning=15.0)
-    with pytest.raises(TrackingError):
+    with pytest.raises(TrackingError, match="refine the grid"):
         track_spectrum(p, manifold_basis(2), np.arange(-8.0, 8.0, 1.0))
+
+
+def _fix_column(col: np.ndarray) -> np.ndarray:
+    mags = np.abs(col)
+    if mags.max() == 0.0:
+        return col
+    idx = int(np.flatnonzero(mags >= mags.max() - 1e-12)[0])
+    return col * (col[idx].conjugate() / mags[idx])
+
+
+def test_stacked_phase_fix_matches_column_by_column():
+    rng = np.random.default_rng(5)
+    stack = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    stack[2, :, 1] = 0.0
+    # entries 0 and 2 tie within 1e-12: the lower index sets the phase
+    stack[4, :, 3] = [(1.0 - 5e-13) * np.exp(0.3j), 0.2, np.exp(-1.1j), 0.1j]
+    fixed = fix_phases(stack)
+    for k in range(stack.shape[0]):
+        for j in range(stack.shape[2]):
+            np.testing.assert_array_equal(fixed[k, :, j],
+                                          _fix_column(stack[k, :, j]))
+    assert np.all(fixed[2, :, 1] == 0.0)
+    assert abs(fixed[4, 0, 3].imag) < 1e-15 and fixed[4, 0, 3].real > 0.0
+    np.testing.assert_array_equal(fix_phases(stack[3]), fixed[3])
+
+
+def _per_point_tracking(p, basis, grid):
+    """Point-by-point reference: eigh, optimal assignment, phase fix."""
+    energies, vectors = [], []
+    perm, prev = np.arange(basis.dim), None
+    for t in grid:
+        w, v = np.linalg.eigh(manifold_hamiltonian(float(t), p, basis))
+        if prev is not None:
+            rows, cols = linear_sum_assignment(-np.abs(prev.conj().T @ v))
+            perm = cols[np.argsort(rows)][perm]
+        prev = v
+        energies.append(w[perm])
+        vectors.append(np.column_stack([_fix_column(v[:, j]) for j in perm]))
+    return np.array(energies), np.array(vectors)
+
+
+@pytest.mark.parametrize("n_exc, kw", [
+    (1, {"detuning": 9.0}),
+    (2, {"epsilon": 0.9}),
+    (3, {"epsilon": 1.1, "detuning": 4.0}),
+])
+def test_stacked_tracker_matches_per_point_reference(n_exc, kw):
+    p = SystemParams(g0=orc.G60, **kw)
+    grid = np.linspace(-8.0, 8.0, 801)
+    curve = track_spectrum(p, manifold_basis(n_exc), grid)
+    energies, vectors = _per_point_tracking(p, manifold_basis(n_exc), grid)
+    # the couplings differ only in the last bit of exp
+    np.testing.assert_allclose(curve.energies, energies, rtol=0,
+                               atol=1e-13 * p.g0)
+    np.testing.assert_allclose(curve.vectors, vectors, rtol=0, atol=1e-12)
+
+
+def _rotation(axis: int, angle: float) -> np.ndarray:
+    i, j = [k for k in range(3) if k != axis]
+    m = np.eye(3)
+    m[i, i] = m[j, j] = math.cos(angle)
+    m[i, j], m[j, i] = -math.sin(angle), math.sin(angle)
+    return m
+
+
+def test_continuation_rejects_two_levels_in_one_column():
+    # Every row of |overlap| clears the 0.5 and 1e-3 margins, but rows 0
+    # and 1 both peak in column 0, so the step is not a permutation.
+    frame = _rotation(2, math.radians(39.0)) @ _rotation(0, math.radians(42.0))
+    overlap = np.abs(frame)
+    ranked = np.sort(overlap, axis=1)
+    assert np.all(ranked[:, -1] > 0.5)
+    assert np.all(ranked[:, -1] - ranked[:, -2] > 1e-3)
+    assert list(np.argmax(overlap, axis=1)[:2]) == [0, 0]
+    with pytest.raises(TrackingError, match="refine the grid"):
+        _continue_levels(np.stack([np.eye(3), frame]), np.array([0.0, 1.0]))
+
+
+def test_continuation_composes_step_permutations():
+    eye = np.eye(3)
+    frames = np.stack([eye, eye[:, [1, 0, 2]], eye[:, [1, 2, 0]]])
+    perms = _continue_levels(frames, np.array([0.0, 1.0, 2.0]))
+    np.testing.assert_array_equal(perms, [[0, 1, 2], [1, 0, 2], [2, 0, 1]])
 
 
 def test_tracked_energies_start_sorted():
